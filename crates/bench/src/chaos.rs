@@ -36,7 +36,9 @@
 //! [`FaultInjector`]: midq::common::FaultInjector
 //! [`MetricsSnapshot::stable_text`]: midq::obs::MetricsSnapshot::stable_text
 
-use midq::common::{EngineConfig, FaultInjector, FaultProfile};
+use std::hash::Hasher;
+
+use midq::common::{EngineConfig, FaultInjector, FaultProfile, Fnv1a};
 use midq::obs::{MetricsRegistry, Obs};
 use midq::tpcd::{queries, TpcdConfig};
 use midq::{Database, QueryOutcome, ReoptMode, Result, Runtime, Workload, WorkloadQuery};
@@ -103,15 +105,12 @@ pub fn fingerprint(outcome: &Result<QueryOutcome>) -> String {
         Ok(o) => {
             let mut rows: Vec<String> = o.rows.iter().map(|r| format!("{r:?}")).collect();
             rows.sort();
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut h = Fnv1a::default();
             for r in &rows {
-                for b in r.bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-                h = h.wrapping_mul(0x100_0000_01b3) ^ 0xff;
+                h.write(r.as_bytes());
+                h.write_u8(0xff); // row separator
             }
-            format!("ok:{}:{h:016x}", rows.len())
+            format!("ok:{}:{:016x}", rows.len(), h.finish())
         }
         Err(e) => format!("err:{}", e.kind()),
     }

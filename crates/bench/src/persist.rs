@@ -149,9 +149,11 @@ pub fn run_save_crash_campaign(seeds: u64, verbose: bool) -> SaveCrashReport {
             .catalog()
             .data_version("orders")
             .expect("orders version");
-        db.engine()
-            .feedback()
-            .record(fp, seed as f64 * 10.0, vec![("orders".to_string(), dep)]);
+        db.engine().feedback().record(
+            fp,
+            seed as f64 * 10.0,
+            [("orders".to_string(), dep)].into_iter().collect(),
+        );
 
         // Counting run: how many save points does this snapshot pass
         // through? Then rearm the previous good bytes for the kills.
@@ -273,7 +275,7 @@ pub fn run_save_crash_campaign(seeds: u64, verbose: bool) -> SaveCrashReport {
                     );
                 }
                 let entry = landed.engine().feedback().get(fp);
-                if entry.map(|e| e.deps) != Some(vec![("orders".to_string(), dep)]) {
+                if entry.map(|e| e.deps.iter().eq([("orders", dep)])) != Some(true) {
                     violate(
                         &mut report.violations,
                         format!("seed {seed}: feedback correction lost after landing save"),

@@ -30,7 +30,7 @@
 use midq::common::{EngineConfig, FaultInjector, FaultKind, FaultSite, FaultSpec, SimClock};
 use midq::reopt::{JobEnv, ParSpec};
 use midq::tpcd::{queries, TpcdConfig};
-use midq::{Database, Engine, LogicalPlan, MqError, ReoptMode};
+use midq::{Database, Engine, LogicalPlan, MqError, PlanSource, ReoptMode};
 
 use crate::chaos::{fingerprint, CHAOS_QUERIES};
 
@@ -141,7 +141,10 @@ pub fn recovery_figure() -> Vec<RecoveryPoint> {
         let counter = FaultInjector::none();
         let (mut env, cold_clock) = child_env(engine, None);
         env.fault = Some(counter.clone());
-        if engine.run_with(&plan, ReoptMode::PlanOnly, env).is_err() {
+        if engine
+            .run_with(&plan, PlanSource::Optimize, ReoptMode::PlanOnly, env)
+            .is_err()
+        {
             continue;
         }
         let cold_ms = cold_clock.elapsed_ms(&cfg);
@@ -162,7 +165,7 @@ pub fn recovery_figure() -> Vec<RecoveryPoint> {
         env.fault = Some(inj);
         let query_id = env.query_id;
         if !matches!(
-            engine.run_with(&plan, ReoptMode::PlanOnly, env),
+            engine.run_with(&plan, PlanSource::Optimize, ReoptMode::PlanOnly, env),
             Err(MqError::Crash(_))
         ) {
             continue;
@@ -227,7 +230,7 @@ pub fn run_crash_campaign(verbose: bool) -> CrashReport {
             let counter = FaultInjector::none();
             let (mut env, cold_clock) = child_env(engine, partitions);
             env.fault = Some(counter.clone());
-            let cold = match engine.run_with(plan, ReoptMode::PlanOnly, env) {
+            let cold = match engine.run_with(plan, PlanSource::Optimize, ReoptMode::PlanOnly, env) {
                 Ok(o) => o,
                 Err(e) => {
                     violate(
@@ -287,7 +290,7 @@ pub fn run_crash_campaign(verbose: bool) -> CrashReport {
                 let (mut env, _crash_clock) = child_env(engine, partitions);
                 env.fault = Some(inj);
                 let query_id = env.query_id;
-                match engine.run_with(plan, ReoptMode::PlanOnly, env) {
+                match engine.run_with(plan, PlanSource::Optimize, ReoptMode::PlanOnly, env) {
                     Err(MqError::Crash(_)) => report.crashes += 1,
                     Ok(_) => {
                         violate(

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mq_common::{FileId, Schema};
+use mq_common::{DepStamp, FileId, Schema};
 use parking_lot::Mutex;
 
 /// One promoted materialization: everything the engine needs to splice
@@ -72,7 +72,7 @@ pub struct CacheEntry {
     pub build_cost_ms: f64,
     /// Base tables the result was derived from, with the data version
     /// observed at promotion. Any version bump invalidates the entry.
-    pub deps: Vec<(String, u64)>,
+    pub deps: DepStamp,
 }
 
 /// Cumulative counters, for `\cache stats` and the workload report.
@@ -399,13 +399,7 @@ impl SubPlanCache {
             let stale: Vec<u64> = inner
                 .slots
                 .values()
-                .filter(|s| {
-                    !s.dead
-                        && s.entry
-                            .deps
-                            .iter()
-                            .any(|(t, v)| t == table && *v < current_version)
-                })
+                .filter(|s| !s.dead && s.entry.deps.older_than(table, current_version))
                 .map(|s| s.entry.fingerprint)
                 .collect();
             for fp in stale {
@@ -534,7 +528,7 @@ pub struct FeedbackEntry {
     /// Rows actually produced by the sub-plan.
     pub rows: f64,
     /// Base tables (with data versions) the observation depends on.
-    pub deps: Vec<(String, u64)>,
+    pub deps: DepStamp,
 }
 
 /// Per-engine map from sub-plan fingerprint to observed cardinality.
@@ -559,7 +553,7 @@ impl FeedbackStore {
 
     /// Record (or overwrite: newest observation wins) the observed row
     /// count for a sub-plan.
-    pub fn record(&self, fingerprint: u64, rows: f64, deps: Vec<(String, u64)>) {
+    pub fn record(&self, fingerprint: u64, rows: f64, deps: DepStamp) {
         self.inner
             .lock()
             .insert(fingerprint, FeedbackEntry { rows, deps });
@@ -573,16 +567,9 @@ impl FeedbackStore {
     /// Drop observations depending on `table` with a version older than
     /// `current_version` (table written since the observation).
     pub fn invalidate_table(&self, table: &str, current_version: u64) {
-        self.inner.lock().retain(|_, e| {
-            !e.deps
-                .iter()
-                .any(|(t, v)| t == table && *v < current_version)
-        });
-    }
-
-    /// Count one successful application of feedback to an estimate.
-    pub fn note_applied(&self) {
-        self.applied.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .lock()
+            .retain(|_, e| !e.deps.older_than(table, current_version));
     }
 
     /// Count one application of feedback against a specific sub-plan
@@ -612,9 +599,7 @@ impl FeedbackStore {
     /// version — used after the table's statistics were rebuilt from
     /// live data, making stored corrections redundant.
     pub fn remove_for_table(&self, table: &str) {
-        self.inner
-            .lock()
-            .retain(|_, e| !e.deps.iter().any(|(t, _)| t == table));
+        self.inner.lock().retain(|_, e| !e.deps.mentions(table));
     }
 
     /// Export the store for a snapshot: observations sorted by
@@ -674,6 +659,10 @@ mod tests {
     use super::*;
     use mq_common::{DataType, Field};
 
+    fn stamp(deps: &[(&str, u64)]) -> DepStamp {
+        deps.iter().map(|(t, v)| (t.to_string(), *v)).collect()
+    }
+
     fn entry(fp: u64, bytes: u64, cost: f64, deps: Vec<(&str, u64)>) -> CacheEntry {
         CacheEntry {
             fingerprint: fp,
@@ -684,7 +673,7 @@ mod tests {
             pages: bytes / 4096 + 1,
             bytes,
             build_cost_ms: cost,
-            deps: deps.into_iter().map(|(t, v)| (t.to_string(), v)).collect(),
+            deps: stamp(&deps),
         }
     }
 
@@ -867,16 +856,16 @@ mod tests {
     fn feedback_store_roundtrip_and_invalidation() {
         let fb = FeedbackStore::new();
         assert!(fb.is_empty());
-        fb.record(7, 123.0, vec![("a".to_string(), 2)]);
-        fb.record(8, 456.0, vec![("b".to_string(), 2)]);
+        fb.record(7, 123.0, stamp(&[("a", 2)]));
+        fb.record(8, 456.0, stamp(&[("b", 2)]));
         assert_eq!(fb.get(7).unwrap().rows, 123.0);
         // Newest observation wins.
-        fb.record(7, 321.0, vec![("a".to_string(), 2)]);
+        fb.record(7, 321.0, stamp(&[("a", 2)]));
         assert_eq!(fb.get(7).unwrap().rows, 321.0);
         fb.invalidate_table("a", 3);
         assert!(fb.get(7).is_none());
         assert!(fb.get(8).is_some());
-        fb.note_applied();
+        fb.note_applied_for(8);
         assert_eq!(fb.applied(), 1);
         fb.clear();
         assert_eq!(fb.len(), 0);
@@ -893,8 +882,8 @@ mod tests {
         assert_eq!(fb.applied_sum(&[7, 9]), 3);
         assert_eq!(fb.applied_sum(&[8]), 0);
 
-        fb.record(1, 10.0, vec![("a".to_string(), 1), ("b".to_string(), 1)]);
-        fb.record(2, 20.0, vec![("b".to_string(), 5)]);
+        fb.record(1, 10.0, stamp(&[("a", 1), ("b", 1)]));
+        fb.record(2, 20.0, stamp(&[("b", 5)]));
         // remove_for_table ignores versions: any dependence drops it.
         fb.remove_for_table("b");
         assert!(fb.get(1).is_none());

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mq_common::{DataType, Field, MqError, Result, Row, Schema, TableId, Value};
+use mq_common::{DataType, DepStamp, Field, MqError, Result, Row, Schema, TableId, Value};
 use mq_stats::{ColumnAccumulator, HistogramKind};
 use mq_storage::Storage;
 
@@ -265,6 +265,42 @@ impl Catalog {
     /// stale.
     pub fn data_version(&self, table: &str) -> Option<u64> {
         self.inner.lock().tables.get(table).map(|t| t.data_version)
+    }
+
+    /// Stamp an artifact derived from `tables` with their current data
+    /// versions, under one catalog lock. Refused (with the reason) when
+    /// a table is query-local (a re-optimizer `tmp_reopt_*` temp or a
+    /// `cache_*` table: the artifact would not be a pure function of
+    /// base data) or has no data version (unknown table).
+    pub fn stamp(
+        &self,
+        tables: impl IntoIterator<Item = String>,
+    ) -> std::result::Result<DepStamp, String> {
+        let inner = self.inner.lock();
+        tables
+            .into_iter()
+            .map(|t| {
+                if t.starts_with("tmp_reopt_") || t.starts_with("cache_") {
+                    return Err(format!(
+                        "{t} is query-local, not a pure function of base data"
+                    ));
+                }
+                match inner.tables.get(&t) {
+                    Some(e) => Ok((t, e.data_version)),
+                    None => Err(format!("{t} has no data version")),
+                }
+            })
+            .collect()
+    }
+
+    /// Whether every table of `stamp` is still at its recorded data
+    /// version (checked under one catalog lock). A dropped table counts
+    /// as changed.
+    pub fn is_current(&self, stamp: &DepStamp) -> bool {
+        let inner = self.inner.lock();
+        stamp
+            .iter()
+            .all(|(t, v)| inner.tables.get(t).map(|e| e.data_version) == Some(v))
     }
 
     /// The catalog-global data-version epoch. Snapshots record it so a
@@ -853,6 +889,24 @@ mod tests {
             .unwrap();
         assert_eq!(cat.data_version("nums").unwrap(), v1);
         assert!(cat.data_version("missing").is_none());
+    }
+
+    #[test]
+    fn stamps_refuse_query_local_tables_and_go_stale_on_writes() {
+        let (cat, st) = setup();
+        load_numbers(&cat, &st, 1);
+        let stamp = cat.stamp(["nums".to_string()]).unwrap();
+        assert!(cat.is_current(&stamp));
+        cat.insert_row(&st, "nums", Row::new(vec![Value::Int(9), Value::Int(9)]))
+            .unwrap();
+        assert!(!cat.is_current(&stamp));
+        assert!(cat.is_current(&cat.stamp(["nums".to_string()]).unwrap()));
+        for bad in ["tmp_reopt_q1_x", "cache_q1_00", "missing"] {
+            let err = cat
+                .stamp(["nums".to_string(), bad.to_string()])
+                .unwrap_err();
+            assert!(err.starts_with(bad), "{err}");
+        }
     }
 
     #[test]

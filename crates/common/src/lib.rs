@@ -18,10 +18,12 @@ pub mod clock;
 pub mod config;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod row;
 pub mod schema;
+pub mod stamp;
 pub mod value;
 
 pub use cancel::CancelToken;
@@ -29,8 +31,10 @@ pub use clock::{ClockScope, CostSnapshot, SimClock};
 pub use config::EngineConfig;
 pub use error::{MqError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultProfile, FaultScope, FaultSite, FaultSpec};
+pub use hash::{fnv1a, Fnv1a};
 pub use ids::{FileId, IndexId, PageId, Rid, TableId};
 pub use rng::DetRng;
 pub use row::Row;
 pub use schema::{Field, Schema};
+pub use stamp::DepStamp;
 pub use value::{DataType, Value};

@@ -459,9 +459,6 @@ impl ReoptController {
             }
             recost(&mut cur_shape, &self.cfg);
             let t_cur_basis = cur_shape.annot.est_total_time_ms;
-            if std::env::var("MQ_DECIDE").is_ok() {
-                eprintln!("=== continue-shape @{node} ===\n{cur_shape}");
-            }
 
             // Re-invoke the optimizer; charge its work as T_opt.
             let mut opt = self
@@ -488,9 +485,6 @@ impl ReoptController {
                 recost(&mut opt.plan, &self.cfg);
             }
             let t_new = opt.plan.annot.est_total_time_ms;
-            if std::env::var("MQ_DECIDE").is_ok() {
-                eprintln!("=== new-plan @{node} ===\n{}", opt.plan);
-            }
             let t_mat = materialize_cost(
                 cut_node.annot.est_rows * cut_node.annot.est_row_bytes,
                 &self.cfg,

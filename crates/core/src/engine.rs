@@ -17,7 +17,8 @@ use std::sync::Arc;
 use mq_cache::{CacheEntry, CacheStats, FeedbackStore, PinGuard, SubPlanCache};
 use mq_catalog::{Catalog, TableStats};
 use mq_common::{
-    CancelToken, CostSnapshot, EngineConfig, FaultInjector, MqError, Result, Row, Schema, SimClock,
+    CancelToken, ClockScope, CostSnapshot, DepStamp, EngineConfig, FaultInjector, FaultScope,
+    MqError, Result, Row, Schema, SimClock,
 };
 use mq_exec::{materialize, run_to_vec, ExecContext, OpActuals};
 use mq_memory::MemoryManager;
@@ -156,6 +157,32 @@ pub struct JobEnv {
     /// is parallelized with exchange operators and run by the
     /// partitioned driver (`mq-par`). `None` = serial execution.
     pub par: Option<ParSpec>,
+}
+
+impl JobEnv {
+    /// Scope this job onto the current thread until the returned
+    /// guards drop:
+    /// - the clock: charges made against the engine-wide clock (by
+    ///   shared Storage / the buffer pool) are also attributed to the
+    ///   job clock, exactly once each;
+    /// - the fault schedule, which the storage and memory layers then
+    ///   consult without plumbing. Counters live in the injector
+    ///   (shared across scopes), so a segment retry continues the
+    ///   schedule past the fault it just absorbed;
+    /// - observability: events emitted anywhere below flow to this
+    ///   job's sink and metrics registry. Inactive handles are skipped,
+    ///   so an outer scope the caller installed keeps receiving events
+    ///   instead of being shadowed by a no-op.
+    fn enter_scopes(&self) -> (ClockScope, Option<FaultScope>, Option<mq_obs::ObsScope>) {
+        (
+            self.clock.enter_scope(),
+            self.fault.as_ref().map(FaultInjector::enter_scope),
+            self.obs
+                .as_ref()
+                .filter(|o| o.is_active())
+                .map(mq_obs::Obs::enter_scope),
+        )
+    }
 }
 
 /// Resource-leak audit over the engine's shared state. Only valid at
@@ -337,6 +364,46 @@ impl Drop for CleanupGuard<'_> {
     }
 }
 
+/// One query execution's fixed context, shared by its three stages.
+struct QueryRun<'a> {
+    env: &'a JobEnv,
+    ctx: &'a ExecContext,
+    controller: &'a ReoptController,
+    mode: ReoptMode,
+    /// Job-clock reading at query start.
+    t0: CostSnapshot,
+    /// Parallel savings already credited to the job clock at query
+    /// start (earlier jobs' credit is not this query's).
+    saved0: f64,
+}
+
+impl QueryRun<'_> {
+    /// Elapsed simulated ms of `cost`: serial cost minus what
+    /// overlapping partitions absorbed (zero when serial).
+    fn elapsed_ms(&self, cost: &CostSnapshot, cfg: &EngineConfig) -> f64 {
+        let saved = (self.env.clock.parallel_saved_ms() - self.saved0).max(0.0);
+        (cost.time_ms(cfg) - saved).max(0.0)
+    }
+}
+
+/// State one query carries across its attempts.
+#[derive(Default)]
+struct Attempts {
+    /// Pins on spliced cache entries: held for the whole query (all
+    /// attempts), so eviction/invalidation can never drop a table a
+    /// remainder plan still references.
+    cache_pins: Vec<PinGuard>,
+    /// Plan-switch temps staged for cross-query promotion; finalized
+    /// only if the query succeeds.
+    promotions: Vec<PendingPromotion>,
+    /// Attempts started so far (1-based in trace events).
+    attempt: u32,
+    /// Segments re-run after a transient fault.
+    segment_retries: u32,
+    /// Plan-switch segments materialized and checkpointed.
+    completed_segments: u32,
+}
+
 /// A plan-switch temp table staged for cross-query promotion. Admitted
 /// into the cache only after the whole query succeeds — a failed
 /// query's temps die with its [`CleanupGuard`] as before.
@@ -354,12 +421,35 @@ struct PendingPromotion {
     /// Estimated producer cost — the per-hit saving the entry earns.
     build_cost_ms: f64,
     /// Base tables read by the cut, at their promotion-time versions.
-    deps: Vec<(String, u64)>,
+    deps: DepStamp,
 }
 
-/// Outcome of the plan-cache probe [`Engine::run_with_sql`] performs
-/// before entering the execution loop. Consumed by the loop's first
-/// attempt only: a plan switch re-optimizes the remainder normally.
+/// Where the physical plan of a query's first attempt comes from.
+/// Plan-switch remainders are always optimized afresh.
+#[derive(Debug, Clone, Copy)]
+pub enum PlanSource<'a> {
+    /// Optimize the logical plan; the plan cache is not consulted.
+    Optimize,
+    /// The query arrived as this SQL text. With the plan cache on, its
+    /// normalized family key is probed before the optimizer runs, so a
+    /// warm family skips join enumeration entirely (the rebound
+    /// template runs with zero optimizer work charged). Text that does
+    /// not normalize is optimized as usual.
+    Sql(&'a str),
+    /// A statement bound by the prepared-statement layer: the caller
+    /// already holds its normalized form, so the probe skips the
+    /// normalizer — the hot path a repeated `Prepared::run` takes.
+    Prepared {
+        /// The bound statement's SQL text.
+        sql: &'a str,
+        /// Its normalized form.
+        norm: &'a NormalizedQuery,
+    },
+}
+
+/// Outcome of the plan-cache probe [`Engine::run_with`] performs
+/// before entering the segment loop. Consumed by the first attempt
+/// only: a plan switch re-optimizes the remainder normally.
 enum PlanCacheAction {
     /// Fresh template rebound with this query's literals: execute it
     /// directly, skipping optimization (and its work charge) entirely.
@@ -390,10 +480,7 @@ struct EngineFeedback<'a>(&'a Engine);
 impl CardFeedback for EngineFeedback<'_> {
     fn observed_rows(&self, fingerprint: u64) -> Option<f64> {
         let e = self.0.feedback.get(fingerprint)?;
-        e.deps
-            .iter()
-            .all(|(t, v)| self.0.catalog.data_version(t) == Some(*v))
-            .then_some(e.rows)
+        self.0.catalog.is_current(&e.deps).then_some(e.rows)
     }
 }
 
@@ -655,147 +742,33 @@ impl Engine {
         self.drop_temp(&e.table);
     }
 
-    /// Run a query under the given re-optimization mode.
+    /// Run a query under the given re-optimization mode, optimizing
+    /// its logical plan in a default environment.
     pub fn run(&self, logical: &LogicalPlan, mode: ReoptMode) -> Result<QueryOutcome> {
-        self.run_with(logical, mode, self.default_env())
+        self.run_with(logical, PlanSource::Optimize, mode, self.default_env())
     }
 
-    /// Run a query under an explicit per-job environment. This is the
-    /// entry point the concurrent runtime uses: `env.clock` is a child
-    /// of the engine clock (scoped onto this thread so shared-component
-    /// charges are attributed to the job), `env.mm` is lease-backed by
-    /// the global memory broker, and cancel/deadline make the job
+    /// Run a query: plan it from `source`, then execute it segment by
+    /// segment under `mode` in the per-job environment `env`. This is
+    /// the engine's one query entry point. The concurrent runtime
+    /// supplies an `env` whose clock is a child of the engine clock
+    /// (scoped onto this thread so shared-component charges are
+    /// attributed to the job), whose memory manager is lease-backed by
+    /// the global broker, and whose cancel/deadline make the job
     /// interruptible at segment boundaries.
+    ///
+    /// Three private stages do the work: the plan source
+    /// (`plan_attempt`), the segment loop (`segment_loop`) and
+    /// finalization (`finalize`).
     pub fn run_with(
         &self,
         logical: &LogicalPlan,
+        source: PlanSource<'_>,
         mode: ReoptMode,
         env: JobEnv,
     ) -> Result<QueryOutcome> {
-        self.run_with_pc(logical, mode, env, None)
-    }
-
-    /// [`Engine::run_with`] for a query that arrived as SQL text: the
-    /// plan cache is probed with the normalized family key before the
-    /// optimizer runs, so a warm family skips join enumeration
-    /// entirely (the rebound template executes with zero optimizer
-    /// work charged). Non-SELECT or non-normalizable text degrades to
-    /// the ordinary path.
-    pub fn run_with_sql(
-        &self,
-        logical: &LogicalPlan,
-        sql: &str,
-        mode: ReoptMode,
-        env: JobEnv,
-    ) -> Result<QueryOutcome> {
-        let pc = if self.cfg.plan_cache_enabled {
-            self.consult_plan_cache(sql)
-        } else {
-            None
-        };
-        self.run_with_pc(logical, mode, env, pc)
-    }
-
-    /// [`Engine::run_with_sql`] for a statement bound by the
-    /// prepared-statement layer: the caller already holds the member's
-    /// normalized form, so the probe skips the normalizer entirely —
-    /// the hot path a repeated `Prepared::run` takes. Everything else
-    /// (hit executes the rebound template with zero optimizer work,
-    /// stale forces one full re-enumeration that re-enters the
-    /// template) matches the SQL path.
-    pub fn run_prepared(
-        &self,
-        logical: &LogicalPlan,
-        sql: &str,
-        norm: &NormalizedQuery,
-        mode: ReoptMode,
-        env: JobEnv,
-    ) -> Result<QueryOutcome> {
-        let pc = if self.cfg.plan_cache_enabled {
-            Some(self.consult_norm(norm.clone(), sql))
-        } else {
-            None
-        };
-        self.run_with_pc(logical, mode, env, pc)
-    }
-
-    /// Probe the plan cache for `sql`'s family. The freshness closure
-    /// encodes the staleness policy: a dependency table whose data
-    /// version moved, or feedback corrections against the template's
-    /// fingerprints accumulating past `plan_cache_staleness`, drop the
-    /// entry so the caller's full re-optimization re-enters it.
-    fn consult_plan_cache(&self, sql: &str) -> Option<PlanCacheAction> {
-        let norm = normalize(sql)?;
-        Some(self.consult_norm(norm, sql))
-    }
-
-    /// [`Engine::consult_plan_cache`] with the normalization already
-    /// done (the prepared path supplies it).
-    fn consult_norm(&self, norm: NormalizedQuery, sql: &str) -> PlanCacheAction {
-        let probe = self.plancache.probe(&norm, |e| {
-            if !e
-                .deps
-                .iter()
-                .all(|(t, v)| self.catalog.data_version(t) == Some(*v))
-            {
-                Freshness::StaleWrite
-            } else if self
-                .feedback
-                .applied_sum(&e.fingerprints)
-                .saturating_sub(e.applied_at)
-                >= self.cfg.plan_cache_staleness
-            {
-                Freshness::StaleFeedback
-            } else {
-                Freshness::Fresh
-            }
-        });
-        match probe {
-            mq_plancache::PlanProbe::Hit(plan, saved_work) => {
-                PlanCacheAction::Hit { plan, saved_work }
-            }
-            mq_plancache::PlanProbe::Stale(verdict) => PlanCacheAction::Enter {
-                norm,
-                sql: sql.to_string(),
-                stale: Some(match verdict {
-                    Freshness::StaleWrite => "write",
-                    _ => "feedback",
-                }),
-            },
-            mq_plancache::PlanProbe::Miss => PlanCacheAction::Enter {
-                norm,
-                sql: sql.to_string(),
-                stale: None,
-            },
-        }
-    }
-
-    fn run_with_pc(
-        &self,
-        logical: &LogicalPlan,
-        mode: ReoptMode,
-        env: JobEnv,
-        pc: Option<PlanCacheAction>,
-    ) -> Result<QueryOutcome> {
-        // While this job runs on this thread, charges made against the
-        // engine-wide clock (by shared Storage / the buffer pool) are
-        // also attributed to the job clock — exactly once each.
-        let _scope = env.clock.enter_scope();
-        // Likewise the fault schedule: scoped onto this thread so the
-        // storage/memory layers consult it without plumbing. Counters
-        // live in the injector (shared across scopes), so a segment
-        // retry continues the schedule past the fault it just absorbed.
-        let _fault_scope = env.fault.as_ref().map(FaultInjector::enter_scope);
-        // Observability scope: events emitted anywhere below (broker
-        // grants, executor spills, controller decisions) flow to this
-        // job's sink and metrics registry. Inactive handles are skipped
-        // so an outer scope the caller installed keeps receiving the
-        // events instead of being shadowed by a no-op.
-        let _obs_scope = env
-            .obs
-            .as_ref()
-            .filter(|o| o.is_active())
-            .map(mq_obs::Obs::enter_scope);
+        let pc = self.probe_plan_cache(source);
+        let _scopes = env.enter_scopes();
         let mode_str = match mode {
             ReoptMode::Off => "off",
             ReoptMode::MemoryOnly => "memory-only",
@@ -833,133 +806,202 @@ impl Engine {
         } else {
             ctx
         };
+        let q = QueryRun {
+            env: &env,
+            ctx: &ctx,
+            controller: &controller,
+            mode,
+            t0,
+            saved0,
+        };
 
         // From here on the guard owns unwinding: artifacts, temp files
         // and materialized temp tables are reclaimed on *every* exit
         // path — success, error, cancellation, plan switch — without
         // any path having to remember to clean up.
         let mut guard = CleanupGuard::new(self, &ctx);
-        // Pins on spliced cache entries: held for the whole query (all
-        // attempts), so eviction/invalidation can never drop a table a
-        // remainder plan still references.
-        let mut cache_pins: Vec<PinGuard> = Vec::new();
-        // Plan-switch temps staged for cross-query promotion; finalized
-        // only if the query succeeds.
-        let mut promotions: Vec<PendingPromotion> = Vec::new();
         // Open the checkpoint manifest before any segment can complete.
         // On a recovery resume this rolls the generation over instead
         // (the salvaged temp tables become the protected set).
         self.manifests
             .begin(env.query_id, logical.clone(), mode, env.temp_prefix.clone());
-        let mut segment_retries: u32 = 0;
-        let mut attempt: u32 = 0;
-        let mut completed_segments: u32 = 0;
+        let mut attempts = Attempts::default();
+        let result = self.segment_loop(&q, logical, pc, &mut guard, &mut attempts);
+        self.finalize(&q, result, guard, attempts)
+    }
+
+    /// Probe the plan cache for `source`'s family. The freshness
+    /// closure encodes the staleness policy: a dependency table whose
+    /// data version moved, or feedback corrections against the
+    /// template's fingerprints accumulating past
+    /// `plan_cache_staleness`, drop the entry so the caller's full
+    /// re-optimization re-enters it. `None` when the cache is off or
+    /// the source carries no SQL to key it by.
+    fn probe_plan_cache(&self, source: PlanSource<'_>) -> Option<PlanCacheAction> {
+        if !self.cfg.plan_cache_enabled {
+            return None;
+        }
+        let (norm, sql) = match source {
+            PlanSource::Optimize => return None,
+            PlanSource::Sql(sql) => (normalize(sql)?, sql),
+            PlanSource::Prepared { sql, norm } => (norm.clone(), sql),
+        };
+        let probe = self.plancache.probe(&norm, |e| {
+            if !self.catalog.is_current(&e.deps) {
+                Freshness::StaleWrite
+            } else if self
+                .feedback
+                .applied_sum(&e.fingerprints)
+                .saturating_sub(e.applied_at)
+                >= self.cfg.plan_cache_staleness
+            {
+                Freshness::StaleFeedback
+            } else {
+                Freshness::Fresh
+            }
+        });
+        let stale = match probe {
+            mq_plancache::PlanProbe::Hit(plan, saved_work) => {
+                return Some(PlanCacheAction::Hit { plan, saved_work });
+            }
+            mq_plancache::PlanProbe::Stale(Freshness::StaleWrite) => Some("write"),
+            mq_plancache::PlanProbe::Stale(_) => Some("feedback"),
+            mq_plancache::PlanProbe::Miss => None,
+        };
+        Some(PlanCacheAction::Enter {
+            norm,
+            sql: sql.to_string(),
+            stale,
+        })
+    }
+
+    /// Stage 1, the plan source: the physical plan of one attempt. The
+    /// first attempt of a warm plan-cache family runs the rebound
+    /// template; every other attempt is optimized afresh. The plan is
+    /// then decorated for execution: sub-plan cache splices (whose
+    /// pins go to `pins`), statistics collectors, exchanges, memory
+    /// grants and costs.
+    fn plan_attempt(
+        &self,
+        q: &QueryRun<'_>,
+        current: &LogicalPlan,
+        pc: Option<PlanCacheAction>,
+        pins: &mut Vec<PinGuard>,
+    ) -> Result<PhysPlan> {
+        let mut plan = match pc {
+            Some(PlanCacheAction::Hit { plan, saved_work }) => {
+                // Warm family: the rebound template replaces the whole
+                // optimize step. No optimizer work is charged —
+                // skipping enumeration is the point.
+                mq_obs::emit(|| ObsEvent::PlanCacheHit { saved_work });
+                q.controller.note(format!(
+                    "plancache: hit (skipped {saved_work} optimizer work units)"
+                ));
+                *plan
+            }
+            action => self.optimize_attempt(q, current, action)?,
+        };
+        if self.cfg.cache_enabled {
+            self.probe_cache(&mut plan, pins, q.controller);
+        }
+        if q.mode.collects() {
+            insert_collectors(&mut plan, &self.catalog, &self.cfg)?;
+        }
+        // Parallelize after collector insertion (exchanges go above
+        // collectors, which then run per bucket in capture mode) and
+        // before allocation/recost, so grants and costs see the final
+        // node ids.
+        if let Some(par) = &q.env.par {
+            parallelize(&mut plan, par, &self.cfg)?;
+        }
+        q.env.mm.allocate(&mut plan, &self.cfg)?;
+        recost(&mut plan, &self.cfg);
+        Ok(plan)
+    }
+
+    /// Optimize `logical`, consulting the feedback store when the
+    /// sub-plan cache is on. Charges nothing: callers decide which
+    /// clock (if any) pays the work units.
+    fn optimize(&self, logical: &LogicalPlan) -> Result<mq_optimizer::Optimized> {
+        // With the cache on, the feedback store steers planning
+        // itself: observed base-relation cardinalities enter the join
+        // enumeration, so a repeated query family gets the join order
+        // the first run had to discover mid-query.
+        let use_feedback = self.cfg.cache_enabled && !self.feedback.is_empty();
+        self.optimizer.optimize_with_feedback(
+            logical,
+            &self.catalog,
+            &self.storage,
+            use_feedback.then_some(&EngineFeedback(self) as &dyn CardFeedback),
+        )
+    }
+
+    /// The optimizing half of the plan source: optimize (charging the
+    /// job clock), apply and record feedback, and — when the plan-cache
+    /// probe asked for it — enter the fresh plan as its family's
+    /// template.
+    fn optimize_attempt(
+        &self,
+        q: &QueryRun<'_>,
+        current: &LogicalPlan,
+        action: Option<PlanCacheAction>,
+    ) -> Result<PhysPlan> {
+        let opt = self.optimize(current)?;
+        q.env.clock.add_opt_work(opt.work_units);
+        let mut plan = opt.plan;
+        if self.cfg.cache_enabled {
+            for h in &opt.feedback_hits {
+                self.feedback.note_applied_for(h.fingerprint);
+                mq_obs::emit(|| ObsEvent::FeedbackApplied {
+                    fingerprint: h.fingerprint,
+                    estimated_rows: h.estimated_rows,
+                    observed_rows: h.observed_rows,
+                });
+                q.controller.note(format!(
+                    "feedback: planned {} with observed {:.0} rows (est {:.0}, fp {:016x})",
+                    h.table, h.observed_rows, h.estimated_rows, h.fingerprint
+                ));
+            }
+            // Repeated large errors against one base-table column mean
+            // the histogram itself is wrong — rebuild just that column
+            // instead of patching around it per fingerprint forever.
+            self.maybe_refresh_histograms(&opt.feedback_hits, q.controller);
+            // Post-pass for sub-trees the graph override cannot reach
+            // (joins observed by collectors), before collectors, which
+            // would otherwise decorate sub-trees a later splice removes.
+            self.consult_feedback(&mut plan, q.controller);
+        }
+        // Capture the template *after* the feedback post-pass (so the
+        // cached estimates start from truth) but *before* the
+        // materialization-cache splice and collector insertion, which
+        // decorate the plan with query-local state.
+        if let Some(PlanCacheAction::Enter { norm, sql, stale }) = action {
+            self.enter_plan_cache(&plan, &norm, &sql, stale, opt.work_units, q.controller);
+        }
+        Ok(plan)
+    }
+
+    /// Stage 2, the segment loop: run the current plan until the query
+    /// completes. A plan switch materializes the cut and re-plans the
+    /// remainder over it ([`Engine::switch_plan`]); a transient fault
+    /// re-runs the segment from its already-materialized inputs (the
+    /// temp tables the guard still holds), within the retry budget.
+    fn segment_loop(
+        &self,
+        q: &QueryRun<'_>,
+        logical: &LogicalPlan,
+        mut pc: Option<PlanCacheAction>,
+        guard: &mut CleanupGuard<'_>,
+        st: &mut Attempts,
+    ) -> Result<QueryOutcome> {
         let mut current = logical.clone();
-        let mut pc = pc;
-        let result = loop {
+        loop {
             // The probe verdict applies to the first attempt only: a
             // plan-switch remainder is a different logical query.
-            let mut plan_cache_enter: Option<(NormalizedQuery, String, Option<&'static str>)> =
-                None;
-            let mut plan = match pc.take() {
-                Some(PlanCacheAction::Hit { plan, saved_work }) => {
-                    // Warm family: the rebound template replaces the
-                    // whole optimize step. No optimizer work is
-                    // charged — skipping enumeration is the point.
-                    mq_obs::emit(|| ObsEvent::PlanCacheHit { saved_work });
-                    controller.note(format!(
-                        "plancache: hit (skipped {saved_work} optimizer work units)"
-                    ));
-                    *plan
-                }
-                action => {
-                    // With the cache on, the feedback store steers
-                    // planning itself: observed base-relation
-                    // cardinalities enter the join enumeration, so a
-                    // repeated query family gets the join order the
-                    // first run had to discover mid-query.
-                    let use_feedback = self.cfg.cache_enabled && !self.feedback.is_empty();
-                    let opt = match self.optimizer.optimize_with_feedback(
-                        &current,
-                        &self.catalog,
-                        &self.storage,
-                        use_feedback.then_some(&EngineFeedback(self) as &dyn CardFeedback),
-                    ) {
-                        Ok(o) => o,
-                        Err(e) => break Err(e),
-                    };
-                    env.clock.add_opt_work(opt.work_units);
-                    if self.cfg.cache_enabled {
-                        for h in &opt.feedback_hits {
-                            self.feedback.note_applied_for(h.fingerprint);
-                            mq_obs::emit(|| ObsEvent::FeedbackApplied {
-                                fingerprint: h.fingerprint,
-                                estimated_rows: h.estimated_rows,
-                                observed_rows: h.observed_rows,
-                            });
-                            controller.note(format!(
-                                "feedback: planned {} with observed {:.0} rows (est {:.0}, fp {:016x})",
-                                h.table, h.observed_rows, h.estimated_rows, h.fingerprint
-                            ));
-                        }
-                        // Repeated large errors against one base-table
-                        // column mean the histogram itself is wrong —
-                        // rebuild just that column instead of patching
-                        // around it per fingerprint forever.
-                        self.maybe_refresh_histograms(&opt.feedback_hits, &controller);
-                    }
-                    if let Some(PlanCacheAction::Enter { norm, sql, stale }) = action {
-                        plan_cache_enter = Some((norm, sql, stale));
-                    }
-                    let mut plan = opt.plan;
-                    if self.cfg.cache_enabled {
-                        // Post-pass for sub-trees the graph override
-                        // cannot reach (joins observed by collectors),
-                        // before collectors, which would otherwise
-                        // decorate sub-trees a later splice removes.
-                        self.consult_feedback(&mut plan, &controller);
-                    }
-                    // Capture the template *after* the feedback
-                    // post-pass (so the cached estimates start from
-                    // truth) but *before* the materialization-cache
-                    // splice and collector insertion, which decorate
-                    // the plan with query-local state.
-                    if let Some((norm, sql, stale)) = plan_cache_enter.take() {
-                        self.enter_plan_cache(
-                            &plan,
-                            &norm,
-                            &sql,
-                            stale,
-                            opt.work_units,
-                            &controller,
-                        );
-                    }
-                    plan
-                }
-            };
-            if self.cfg.cache_enabled {
-                self.probe_cache(&mut plan, &mut cache_pins, &controller);
-            }
-            if mode.collects() {
-                if let Err(e) = insert_collectors(&mut plan, &self.catalog, &self.cfg) {
-                    break Err(e);
-                }
-            }
-            // Parallelize after collector insertion (exchanges go above
-            // collectors, which then run per bucket in capture mode) and
-            // before allocation/recost, so grants and costs see the
-            // final node ids.
-            if let Some(par) = &env.par {
-                if let Err(e) = parallelize(&mut plan, par, &self.cfg) {
-                    break Err(e);
-                }
-            }
-            if let Err(e) = env.mm.allocate(&mut plan, &self.cfg) {
-                break Err(e);
-            }
-            recost(&mut plan, &self.cfg);
-            controller.begin_attempt(plan.clone());
-            attempt += 1;
+            let plan = self.plan_attempt(q, &current, pc.take(), &mut st.cache_pins)?;
+            q.controller.begin_attempt(plan.clone());
+            st.attempt += 1;
+            let attempt = st.attempt;
             mq_obs::emit(|| {
                 let mut nodes = 0u64;
                 plan.walk(&mut |_| nodes += 1);
@@ -970,199 +1012,198 @@ impl Engine {
             });
             // The actuals of an abandoned attempt describe nodes of an
             // abandoned plan; the final attempt starts from scratch.
-            ctx.reset_actuals();
+            q.ctx.reset_actuals();
 
-            let run = match &env.par {
-                Some(par) => run_partitioned(&plan, &ctx, par, &self.cfg)
+            let run = match &q.env.par {
+                Some(par) => run_partitioned(&plan, q.ctx, par, &self.cfg)
                     .map(|(rows, report)| (rows, Some(report))),
-                None => run_to_vec(&plan, &ctx).map(|rows| (rows, None)),
+                None => run_to_vec(&plan, q.ctx).map(|rows| (rows, None)),
             };
-            match run {
-                Ok((rows, par_report)) => {
+            let err = match run {
+                Ok((rows, par)) => {
                     mq_obs::emit(|| ObsEvent::SegmentEnd {
                         attempt,
                         outcome: SegmentOutcome::Done,
                     });
-                    let (memory_reallocs, collector_reports) = controller.counters();
-                    // Elapsed simulated time = serial cost minus what
-                    // overlapping partitions absorbed (zero when serial).
-                    let saved = (env.clock.parallel_saved_ms() - saved0).max(0.0);
-                    break Ok(QueryOutcome {
-                        rows,
-                        cost: env.clock.snapshot().since(&t0),
-                        time_ms: (env.clock.snapshot().since(&t0).time_ms(&self.cfg) - saved)
-                            .max(0.0),
-                        mode,
-                        plan_switches: controller.switches(),
-                        segment_retries,
-                        memory_reallocs,
-                        collector_reports,
-                        events: controller.take_events(),
-                        final_plan: plan,
-                        actuals: ctx.take_actuals(),
-                        par: par_report,
-                    });
+                    return Ok(self.outcome(q, rows, plan, par, st.segment_retries));
                 }
                 Err(MqError::PlanSwitch(raw)) => {
                     mq_obs::emit(|| ObsEvent::SegmentEnd {
                         attempt,
                         outcome: SegmentOutcome::PlanSwitch,
                     });
-                    let Some(pending) = controller.take_pending() else {
-                        break Err(MqError::Internal(
-                            "plan switch without pending decision".into(),
-                        ));
-                    };
-                    debug_assert_eq!(pending.cut, NodeId(raw));
-                    // Finish the cut subtree into the temp table. The
-                    // build artifact survived the unwind, so only the
-                    // probe phase (plus the write) is paid here — the
-                    // paper's "finish execution of the last operator
-                    // and write the result to a temporary file".
-                    controller.set_suppressed(true);
-                    let sub = plan.find(pending.cut).cloned();
-                    let mat = match &sub {
-                        Some(sub) => materialize(sub, &ctx),
-                        None => Err(MqError::Internal("cut not in plan".into())),
-                    };
-                    controller.set_suppressed(false);
-                    let mat = match mat {
-                        Ok(mat) => mat,
-                        Err(e @ MqError::Crash(_)) => {
-                            // Killed mid-materialization: the placeholder
-                            // table and the partial (still scratch-tagged)
-                            // output stay behind for recovery to sweep —
-                            // a real kill cleans up nothing either.
-                            break Err(e);
+                    match self.switch_plan(q, &plan, NodeId(raw), guard, st) {
+                        Ok(remainder) => {
+                            current = remainder;
+                            continue;
                         }
-                        Err(e) => {
-                            // The controller registered a placeholder
-                            // for the temp table; it must not survive a
-                            // failed materialization.
-                            guard.drop_now(&pending.temp_name);
-                            if self.should_retry_segment(&e, segment_retries) {
-                                segment_retries += 1;
-                                self.prepare_segment_retry(
-                                    &env,
-                                    &ctx,
-                                    &controller,
-                                    segment_retries,
-                                    &e,
-                                );
-                                // `current` unchanged: re-run the
-                                // pre-switch remainder from its
-                                // materialized inputs.
-                                continue;
-                            }
-                            break Err(e);
-                        }
-                    };
-
-                    // Swap the placeholder for the real file + stats.
-                    let mat_rows = mat.stats.rows;
-                    let mat_pages = mat.stats.pages;
-                    let mat_bytes = mat.stats.bytes() as u64;
-                    let mat_schema = mat.schema.clone();
-                    let placeholder = match self.catalog.drop_table(&pending.temp_name) {
-                        Ok(p) => p,
-                        Err(e) => break Err(e),
-                    };
-                    let _ = self.storage.drop_file(placeholder.file);
-                    if let Err(e) = self.catalog.register_materialized(
-                        &pending.temp_name,
-                        mat.file,
-                        mat.schema,
-                        mat.stats,
-                    ) {
-                        break Err(e);
+                        Err(e) => e,
                     }
-                    guard.track(pending.temp_name.clone());
-                    // The catalog owns the materialized file now.
-                    ctx.forget_temp_file(mat.file);
-
-                    // Data before manifest: only now that the temp table
-                    // is fully written *and* registered does the segment
-                    // get its completion record. A crash between the two
-                    // leaves at worst an unrecorded, sweepable table.
-                    completed_segments += 1;
-                    self.manifests.append(
-                        env.query_id,
-                        CheckpointRecord {
-                            segment: completed_segments,
-                            temp_table: pending.temp_name.clone(),
-                            rows: mat_rows,
-                            fingerprint: mat.fingerprint,
-                            remainder_hash: plan_hash(&pending.remainder),
-                        },
-                        pending.remainder.clone(),
-                    );
-
-                    // Stage the fully-written temp for cross-query
-                    // promotion (and feed its exact cardinality back).
-                    if self.cfg.cache_enabled {
-                        if let Some(sub) = &sub {
-                            self.stage_promotion(
-                                &mut promotions,
-                                sub,
-                                &pending.temp_name,
-                                mat_schema,
-                                mat_rows,
-                                mat_pages,
-                                mat_bytes,
-                            );
-                        }
-                        // The abandoned attempt's completed collectors
-                        // observed true cardinalities *below* the cut
-                        // (e.g. the mis-estimated leaf that triggered
-                        // the switch); harvest them before the next
-                        // attempt resets the controller's observations,
-                        // or the next planning of this family repeats
-                        // the same leaf mistake in a new join order.
-                        self.record_collector_feedback(&plan, &controller, guard.temps());
-                    }
-
-                    // Stale per-attempt state.
-                    ctx.clear_artifacts();
-                    ctx.clear_grants();
-                    current = pending.remainder;
-                    continue;
                 }
-                Err(other) => {
+                Err(e) => {
                     mq_obs::emit(|| ObsEvent::SegmentEnd {
                         attempt,
                         outcome: SegmentOutcome::Error,
                     });
-                    if self.should_retry_segment(&other, segment_retries) {
-                        segment_retries += 1;
-                        self.prepare_segment_retry(
-                            &env,
-                            &ctx,
-                            &controller,
-                            segment_retries,
-                            &other,
-                        );
-                        // `current` unchanged: the segment re-runs from
-                        // its already-materialized inputs (the temp
-                        // tables the guard still holds).
-                        continue;
-                    }
-                    break Err(other);
+                    e
                 }
+            };
+            if !self.should_retry_segment(&err, st.segment_retries) {
+                return Err(err);
+            }
+            st.segment_retries += 1;
+            // `current` unchanged: re-run the segment (for a failed
+            // switch, the pre-switch remainder) from its inputs.
+            self.prepare_segment_retry(q, st.segment_retries, &err);
+        }
+    }
+
+    /// The outcome of the attempt that produced the final rows.
+    fn outcome(
+        &self,
+        q: &QueryRun<'_>,
+        rows: Vec<Row>,
+        final_plan: PhysPlan,
+        par: Option<ParReport>,
+        segment_retries: u32,
+    ) -> QueryOutcome {
+        let (memory_reallocs, collector_reports) = q.controller.counters();
+        let cost = q.env.clock.snapshot().since(&q.t0);
+        QueryOutcome {
+            rows,
+            cost,
+            time_ms: q.elapsed_ms(&cost, &self.cfg),
+            mode: q.mode,
+            plan_switches: q.controller.switches(),
+            segment_retries,
+            memory_reallocs,
+            collector_reports,
+            events: q.controller.take_events(),
+            final_plan,
+            actuals: q.ctx.take_actuals(),
+            par,
+        }
+    }
+
+    /// Handle an accepted plan switch at `cut`: finish the cut subtree
+    /// into its temp table, register it with its exact statistics,
+    /// checkpoint it in the manifest, stage it for cross-query
+    /// promotion, and return the remainder query to plan next. An
+    /// error leaves the attempt's state for the caller's retry policy.
+    fn switch_plan(
+        &self,
+        q: &QueryRun<'_>,
+        plan: &PhysPlan,
+        cut: NodeId,
+        guard: &mut CleanupGuard<'_>,
+        st: &mut Attempts,
+    ) -> Result<LogicalPlan> {
+        let Some(pending) = q.controller.take_pending() else {
+            return Err(MqError::Internal(
+                "plan switch without pending decision".into(),
+            ));
+        };
+        debug_assert_eq!(pending.cut, cut);
+        // Finish the cut subtree into the temp table. The build
+        // artifact survived the unwind, so only the probe phase (plus
+        // the write) is paid here — the paper's "finish execution of
+        // the last operator and write the result to a temporary file".
+        q.controller.set_suppressed(true);
+        let sub = plan.find(pending.cut);
+        let mat = match sub {
+            Some(sub) => materialize(sub, q.ctx),
+            None => Err(MqError::Internal("cut not in plan".into())),
+        };
+        q.controller.set_suppressed(false);
+        let mat = match mat {
+            Ok(mat) => mat,
+            // Killed mid-materialization: the placeholder table and the
+            // partial (still scratch-tagged) output stay behind for
+            // recovery to sweep — a real kill cleans up nothing either.
+            Err(e @ MqError::Crash(_)) => return Err(e),
+            Err(e) => {
+                // The controller registered a placeholder for the temp
+                // table; it must not survive a failed materialization.
+                guard.drop_now(&pending.temp_name);
+                return Err(e);
             }
         };
-        if let Err(MqError::Crash(cause)) = &result {
-            // Simulated `kill -9`: abandon all in-flight state exactly
-            // as a dying process would. The guard is *forgotten*, not
-            // dropped — artifacts, scratch files and materialized temp
-            // tables stay behind — and the manifest stays open so
-            // [`Engine::recover`] can salvage the completed segments.
-            mq_obs::emit(|| ObsEvent::CrashInjected {
-                query_id: env.query_id,
-                cause: cause.clone(),
-            });
-            std::mem::forget(guard);
-            return result;
+
+        // Swap the placeholder for the real file + stats.
+        let (mat_rows, mat_pages) = (mat.stats.rows, mat.stats.pages);
+        let mat_bytes = mat.stats.bytes() as u64;
+        let mat_schema = mat.schema.clone();
+        let placeholder = self.catalog.drop_table(&pending.temp_name)?;
+        let _ = self.storage.drop_file(placeholder.file);
+        self.catalog
+            .register_materialized(&pending.temp_name, mat.file, mat.schema, mat.stats)?;
+        guard.track(pending.temp_name.clone());
+        // The catalog owns the materialized file now.
+        q.ctx.forget_temp_file(mat.file);
+
+        // Data before manifest: only now that the temp table is fully
+        // written *and* registered does the segment get its completion
+        // record. A crash between the two leaves at worst an
+        // unrecorded, sweepable table.
+        st.completed_segments += 1;
+        self.manifests.append(
+            q.env.query_id,
+            CheckpointRecord {
+                segment: st.completed_segments,
+                temp_table: pending.temp_name.clone(),
+                rows: mat_rows,
+                fingerprint: mat.fingerprint,
+                remainder_hash: plan_hash(&pending.remainder),
+            },
+            pending.remainder.clone(),
+        );
+
+        // Stage the fully-written temp for cross-query promotion (and
+        // feed its exact cardinality back).
+        if self.cfg.cache_enabled {
+            if let Some(sub) = sub {
+                self.stage_promotion(
+                    &mut st.promotions,
+                    sub,
+                    &pending.temp_name,
+                    mat_schema,
+                    mat_rows,
+                    mat_pages,
+                    mat_bytes,
+                );
+            }
+            // The abandoned attempt's completed collectors observed true
+            // cardinalities *below* the cut (e.g. the mis-estimated leaf
+            // that triggered the switch); harvest them before the next
+            // attempt resets the controller's observations, or the next
+            // planning of this family repeats the same leaf mistake in a
+            // new join order.
+            self.record_collector_feedback(plan, q.controller);
         }
+
+        // Stale per-attempt state.
+        q.ctx.clear_artifacts();
+        q.ctx.clear_grants();
+        Ok(pending.remainder)
+    }
+
+    /// Stage 3, finalization: settle the query whatever its result. A
+    /// crash abandons everything ([`Engine::crash_exit`]). Otherwise
+    /// the staged promotions are admitted (success only), the manifest
+    /// closes, collector observations feed back into the catalog and
+    /// the feedback store, the guard reclaims the query's temps, the
+    /// cache pins drop, and the query-end event closes the trace.
+    fn finalize(
+        &self,
+        q: &QueryRun<'_>,
+        result: Result<QueryOutcome>,
+        mut guard: CleanupGuard<'_>,
+        st: Attempts,
+    ) -> Result<QueryOutcome> {
+        let result = match result {
+            Err(e @ MqError::Crash(_)) => return self.crash_exit(q.env, guard, e),
+            r => r,
+        };
         // Promote the staged plan-switch temps before closing the
         // manifest: a crash at the promotion kill point leaves the
         // manifest open (recoverable) plus at worst one orphan cache
@@ -1170,25 +1211,18 @@ impl Engine {
         // entry without its table.
         if result.is_ok() && self.cfg.cache_enabled {
             if let Err(e @ MqError::Crash(_)) =
-                self.finalize_promotions(&env, promotions, &mut guard)
+                self.finalize_promotions(q.env, st.promotions, &mut guard)
             {
-                if let MqError::Crash(cause) = &e {
-                    mq_obs::emit(|| ObsEvent::CrashInjected {
-                        query_id: env.query_id,
-                        cause: cause.clone(),
-                    });
-                }
-                std::mem::forget(guard);
-                return Err(e);
+                return self.crash_exit(q.env, guard, e);
             }
         }
-        self.manifests.remove(env.query_id);
+        self.manifests.remove(q.env.query_id);
         if let Ok(outcome) = &result {
-            if self.cfg.stats_feedback && mode.collects() {
-                self.apply_stats_feedback(&outcome.final_plan, &controller, guard.temps());
+            if self.cfg.stats_feedback && q.mode.collects() {
+                self.apply_stats_feedback(&outcome.final_plan, q.controller, guard.temps());
             }
-            if self.cfg.cache_enabled && mode.collects() {
-                self.record_collector_feedback(&outcome.final_plan, &controller, guard.temps());
+            if self.cfg.cache_enabled && q.mode.collects() {
+                self.record_collector_feedback(&outcome.final_plan, q.controller);
             }
         }
         // Cleanup runs (and emits its event) before the query-end
@@ -1196,10 +1230,31 @@ impl Engine {
         drop(guard);
         // Pins released only now that the final attempt is done; then
         // retire anything invalidated while we held it alive.
-        drop(cache_pins);
+        drop(st.cache_pins);
         self.reclaim_dead_cache();
-        self.emit_query_end(&result, &env, &t0, saved0, &controller, segment_retries);
+        self.emit_query_end(q, &result, st.segment_retries);
         result
+    }
+
+    /// Simulated `kill -9`: abandon all in-flight state exactly as a
+    /// dying process would. The guard is *forgotten*, not dropped —
+    /// artifacts, scratch files and materialized temp tables stay
+    /// behind — and the manifest stays open so [`Engine::recover`] can
+    /// salvage the completed segments.
+    fn crash_exit(
+        &self,
+        env: &JobEnv,
+        guard: CleanupGuard<'_>,
+        crash: MqError,
+    ) -> Result<QueryOutcome> {
+        if let MqError::Crash(cause) = &crash {
+            mq_obs::emit(|| ObsEvent::CrashInjected {
+                query_id: env.query_id,
+                cause: cause.clone(),
+            });
+        }
+        std::mem::forget(guard);
+        Err(crash)
     }
 
     /// Emit the end-of-query trace event and fold the final attempt's
@@ -1207,19 +1262,15 @@ impl Engine {
     /// when no observability scope is active.
     fn emit_query_end(
         &self,
+        q: &QueryRun<'_>,
         result: &Result<QueryOutcome>,
-        env: &JobEnv,
-        t0: &CostSnapshot,
-        saved0: f64,
-        controller: &ReoptController,
         segment_retries: u32,
     ) {
         if !mq_obs::active() {
             return;
         }
-        let cost = env.clock.snapshot().since(t0);
-        let saved = (env.clock.parallel_saved_ms() - saved0).max(0.0);
-        let (memory_reallocs, collector_reports) = controller.counters();
+        let cost = q.env.clock.snapshot().since(&q.t0);
+        let (memory_reallocs, collector_reports) = q.controller.counters();
         let (outcome_str, rows) = match result {
             Ok(o) => ("ok".to_string(), o.rows.len() as u64),
             Err(e) => (e.kind().to_string(), 0),
@@ -1227,12 +1278,12 @@ impl Engine {
         mq_obs::emit(|| ObsEvent::QueryEnd {
             outcome: outcome_str,
             rows,
-            sim_ms: (cost.time_ms(&self.cfg) - saved).max(0.0),
+            sim_ms: q.elapsed_ms(&cost, &self.cfg),
             pages_read: cost.pages_read,
             pages_written: cost.pages_written,
             cpu_ops: cost.cpu_ops,
             opt_work: cost.opt_work,
-            plan_switches: u64::from(controller.switches()),
+            plan_switches: u64::from(q.controller.switches()),
             segment_retries: u64::from(segment_retries),
             memory_reallocs: u64::from(memory_reallocs),
             collector_reports: u64::from(collector_reports),
@@ -1278,15 +1329,8 @@ impl Engine {
     /// Reset per-attempt state for a segment retry and charge the
     /// exponential backoff (simulated) for it. Materialized temp tables
     /// survive — they are the restart point.
-    fn prepare_segment_retry(
-        &self,
-        env: &JobEnv,
-        ctx: &ExecContext,
-        controller: &ReoptController,
-        retry: u32,
-        cause: &MqError,
-    ) {
-        controller.note(format!(
+    fn prepare_segment_retry(&self, q: &QueryRun<'_>, retry: u32, cause: &MqError) {
+        q.controller.note(format!(
             "segment retry {retry}/{}: transient fault absorbed ({cause})",
             self.cfg.transient_retry_limit
         ));
@@ -1295,22 +1339,18 @@ impl Engine {
             limit: self.cfg.transient_retry_limit,
             cause: cause.to_string(),
         });
-        ctx.clear_artifacts();
-        let _ = ctx.release_temp_files();
-        ctx.clear_grants();
-        self.charge_backoff(env, retry);
-    }
-
-    /// Charge the simulated clock for the retry backoff:
-    /// `transient_retry_backoff_ms × 2^(retry−1)`, expressed in CPU ops.
-    fn charge_backoff(&self, env: &JobEnv, retry: u32) {
-        if self.cfg.cpu_op_ms <= 0.0 {
-            return;
+        q.ctx.clear_artifacts();
+        let _ = q.ctx.release_temp_files();
+        q.ctx.clear_grants();
+        // Backoff: `transient_retry_backoff_ms × 2^(retry−1)`, charged
+        // to the simulated clock as CPU ops.
+        if self.cfg.cpu_op_ms > 0.0 {
+            let factor = f64::from(1u32 << retry.saturating_sub(1).min(16));
+            let backoff_ms = self.cfg.transient_retry_backoff_ms * factor;
+            q.env
+                .clock
+                .add_cpu((backoff_ms / self.cfg.cpu_op_ms).ceil() as u64);
         }
-        let factor = f64::from(1u32 << retry.saturating_sub(1).min(16));
-        let backoff_ms = self.cfg.transient_retry_backoff_ms * factor;
-        env.clock
-            .add_cpu((backoff_ms / self.cfg.cpu_op_ms).ceil() as u64);
     }
 
     /// Optimizer post-pass over the feedback store: re-stamp `est_rows`
@@ -1383,19 +1423,7 @@ impl Engine {
         sql: &str,
         work_units: u64,
     ) -> std::result::Result<(), String> {
-        let tables = base_tables(plan);
-        let mut deps = Vec::with_capacity(tables.len());
-        for t in tables {
-            if t.starts_with("tmp_reopt_") || t.starts_with("cache_") {
-                return Err(format!(
-                    "{t} is query-local, plan is not a pure function of base data"
-                ));
-            }
-            let Some(v) = self.catalog.data_version(&t) else {
-                return Err(format!("{t} has no data version"));
-            };
-            deps.push((t, v));
-        }
+        let deps = self.catalog.stamp(base_tables(plan))?;
         let mut entry = CachedPlan::capture(plan, norm, work_units, deps, 0);
         entry.applied_at = self.feedback.applied_sum(&entry.fingerprints);
         entry.sql = Some(sql.to_string());
@@ -1424,14 +1452,7 @@ impl Engine {
         if self.plancache.contains(&norm.key) {
             return Ok(false);
         }
-        let logical = mq_sql::plan_sql(sql, &self.catalog)?;
-        let use_feedback = self.cfg.cache_enabled && !self.feedback.is_empty();
-        let opt = self.optimizer.optimize_with_feedback(
-            &logical,
-            &self.catalog,
-            &self.storage,
-            use_feedback.then_some(&EngineFeedback(self) as &dyn CardFeedback),
-        )?;
+        let opt = self.optimize(&mq_sql::plan_sql(sql, &self.catalog)?)?;
         Ok(self
             .admit_template(&opt.plan, &norm, sql, opt.work_units)
             .is_ok())
@@ -1534,12 +1555,7 @@ impl Engine {
             *probed += 1;
             let fp = subplan_fingerprint(plan);
             if let Some(hit) = self.cache.lookup(fp) {
-                let fresh = hit
-                    .entry
-                    .deps
-                    .iter()
-                    .all(|(t, v)| self.catalog.data_version(t) == Some(*v));
-                if !fresh {
+                if !self.catalog.is_current(&hit.entry.deps) {
                     // A dep was written since promotion: retire the
                     // entry now (dead-until-unpinned if shared).
                     drop(hit.guard);
@@ -1637,20 +1653,9 @@ impl Engine {
         pages: u64,
         bytes: u64,
     ) {
-        let tables = base_tables(sub);
-        if tables
-            .iter()
-            .any(|t| t.starts_with("tmp_reopt_") || t.starts_with("cache_"))
-        {
+        let Ok(deps) = self.catalog.stamp(base_tables(sub)) else {
             return;
-        }
-        let mut deps = Vec::with_capacity(tables.len());
-        for t in tables {
-            let Some(v) = self.catalog.data_version(&t) else {
-                return;
-            };
-            deps.push((t, v));
-        }
+        };
         let fp = subplan_fingerprint(sub);
         // Feedback rides along regardless of cache admission:
         // materializing the cut observed its exact output cardinality.
@@ -1683,10 +1688,7 @@ impl Engine {
         for p in promotions {
             // A dep written mid-query makes the result already stale;
             // leave the temp to die with the guard.
-            if p.deps
-                .iter()
-                .any(|(t, v)| self.catalog.data_version(t) != Some(*v))
-            {
+            if !self.catalog.is_current(&p.deps) {
                 continue;
             }
             let cache_name = format!("cache_q{}_{:016x}", env.query_id, p.fingerprint);
@@ -1755,12 +1757,7 @@ impl Engine {
     /// *next* query containing that sub-plan plans with truth. Sub-
     /// plans touching temp or cache tables are skipped (not pure
     /// functions of base data).
-    fn record_collector_feedback(
-        &self,
-        plan: &PhysPlan,
-        controller: &ReoptController,
-        temp_tables: &[String],
-    ) {
+    fn record_collector_feedback(&self, plan: &PhysPlan, controller: &ReoptController) {
         let observations = controller.complete_observations();
         if observations.is_empty() {
             return;
@@ -1775,21 +1772,9 @@ impl Engine {
             let Some(obs) = observations.iter().find(|o| o.node == node.id) else {
                 return;
             };
-            let tables = base_tables(child);
-            if tables.iter().any(|t| {
-                t.starts_with("tmp_reopt_")
-                    || t.starts_with("cache_")
-                    || temp_tables.iter().any(|tt| tt == t)
-            }) {
+            let Ok(deps) = self.catalog.stamp(base_tables(child)) else {
                 return;
-            }
-            let mut deps = Vec::with_capacity(tables.len());
-            for t in tables {
-                let Some(v) = self.catalog.data_version(&t) else {
-                    return;
-                };
-                deps.push((t, v));
-            }
+            };
             self.feedback
                 .record(subplan_fingerprint(child), obs.rows as f64, deps);
         });
@@ -1888,13 +1873,7 @@ impl Engine {
         let t0 = clock.snapshot();
 
         let salvage = {
-            let _scope = env.clock.enter_scope();
-            let _fault_scope = env.fault.as_ref().map(FaultInjector::enter_scope);
-            let _obs_scope = env
-                .obs
-                .as_ref()
-                .filter(|o| o.is_active())
-                .map(mq_obs::Obs::enter_scope);
+            let _scopes = env.enter_scopes();
             mq_obs::emit(|| ObsEvent::RecoveryStarted {
                 query_id,
                 generation,
@@ -1908,7 +1887,12 @@ impl Engine {
         // valid remainder plan. `run_with` rolls the manifest over to
         // the new generation and keeps checkpointing, so recovery is
         // itself crash-safe.
-        let result = self.run_with(&salvage.resume_plan, manifest.mode, env);
+        let result = self.run_with(
+            &salvage.resume_plan,
+            PlanSource::Optimize,
+            manifest.mode,
+            env,
+        );
         match result {
             Ok(outcome) => {
                 // The salvaged inputs (this and earlier generations)

@@ -6,7 +6,7 @@ use mq_expr::{cmp, col, lit, CmpOp};
 use mq_plan::{AggExpr, AggFunc, LogicalPlan, PhysOp};
 use mq_stats::HistogramKind;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, PlanSource};
 use crate::ReoptMode;
 
 /// The classic stale-statistics setup: `fact` is analyzed early, then
@@ -734,7 +734,7 @@ fn transient_fault_recovers_via_segment_retry() {
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
     let out = engine
-        .run_with(&q, ReoptMode::Off, env)
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Off, env)
         .expect("transient fault must be absorbed by a segment retry");
     assert!(out.segment_retries >= 1, "expected a segment retry");
     assert_eq!(inj.fired().transient, 1, "fault must fire exactly once");
@@ -765,7 +765,7 @@ fn permanent_fault_fails_cleanly_without_leaks() {
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
     let err = engine
-        .run_with(&q, ReoptMode::Off, env)
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Off, env)
         .expect_err("permanent fault must fail the query");
     assert_eq!(err.kind(), "storage");
     assert!(!err.is_transient());
@@ -795,7 +795,7 @@ fn transient_faults_beyond_the_retry_limit_fail() {
     let mut env = engine.default_env();
     env.fault = Some(inj.clone());
     let err = engine
-        .run_with(&q, ReoptMode::Off, env)
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Off, env)
         .expect_err("retry budget exhausted");
     assert!(err.is_transient());
     assert_eq!(inj.fired().transient as u32, limit + 1);
@@ -822,7 +822,9 @@ fn segment_retries_charge_simulated_backoff() {
     );
     let mut env = engine.default_env();
     env.fault = Some(inj);
-    let out = engine.run_with(&q, ReoptMode::Off, env).unwrap();
+    let out = engine
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Off, env)
+        .unwrap();
     // The faulted run re-ran the segment and paid at least the first
     // backoff step on top of the clean run's time.
     assert!(
@@ -996,7 +998,9 @@ fn crash_at_promotion_is_recoverable() {
     let inj = FaultInjector::none();
     let mut env = counting.default_env();
     env.fault = Some(inj.clone());
-    let oracle = counting.run_with(&q, ReoptMode::Full, env).unwrap();
+    let oracle = counting
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Full, env)
+        .unwrap();
     let boundaries = inj.ops_at(FaultSite::SegmentBoundary);
     assert!(
         counting.cache_stats().promotions >= 1,
@@ -1018,7 +1022,7 @@ fn crash_at_promotion_is_recoverable() {
     let qid = env.query_id;
     env.fault = Some(inj.clone());
     let err = engine
-        .run_with(&q, ReoptMode::Full, env)
+        .run_with(&q, PlanSource::Optimize, ReoptMode::Full, env)
         .expect_err("crash at the promotion kill point must unwind");
     assert_eq!(err.kind(), "crash");
     assert_eq!(inj.fired().crashes, 1);

@@ -39,7 +39,7 @@ pub mod scia;
 mod engine_tests;
 
 pub use controller::ReoptController;
-pub use engine::{AuditReport, Engine, JobEnv, QueryOutcome, RecoveryReport};
+pub use engine::{AuditReport, Engine, JobEnv, PlanSource, QueryOutcome, RecoveryReport};
 pub use explain::{explain_analyze, explain_plan};
 pub use manifest::{CheckpointRecord, ManifestStore, QueryManifest};
 pub use mq_cache::{CacheEntry, CacheStats, FeedbackStore, SubPlanCache};

@@ -90,13 +90,7 @@ impl QueryManifest {
 /// Deterministic structural hash of a logical plan (FNV-1a over its
 /// debug rendering — plans derive a canonical `Debug`).
 pub fn plan_hash(plan: &LogicalPlan) -> u64 {
-    let repr = format!("{plan:?}");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in repr.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    mq_common::fnv1a(format!("{plan:?}").as_bytes())
 }
 
 /// Engine-owned store of in-flight query manifests, keyed by query id.

@@ -312,11 +312,7 @@ fn assemble(engine: &Engine) -> Result<(Sections, SnapshotReport)> {
     for (fp, e) in &fb.entries {
         fb_w.u64(*fp);
         fb_w.f64(e.rows);
-        fb_w.u32(e.deps.len() as u32);
-        for (table, ver) in &e.deps {
-            fb_w.str(table);
-            fb_w.u64(*ver);
-        }
+        fb_w.stamp(&e.deps);
     }
     fb_w.u32(fb.applied_by_fp.len() as u32);
     for (fp, n) in &fb.applied_by_fp {
@@ -508,18 +504,11 @@ fn restore_sections(
     for _ in 0..nentries {
         let fp = fb_r.u64()?;
         let rows = fb_r.f64()?;
-        let ndeps = fb_r.u32()? as usize;
-        let mut deps = Vec::with_capacity(ndeps);
-        for _ in 0..ndeps {
-            deps.push((fb_r.str()?, fb_r.u64()?));
-        }
+        let deps = fb_r.stamp()?;
         // A dependency whose data version no longer matches the
         // restored catalog means this observation describes data we do
         // not have: drop it, degrading to a feedback miss.
-        let fresh = deps
-            .iter()
-            .all(|(t, v)| catalog.data_version(t) == Some(*v));
-        if fresh {
+        if catalog.is_current(&deps) {
             entries.push((fp, FeedbackEntry { rows, deps }));
         } else {
             report.feedback_dropped += 1;
@@ -646,13 +635,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fb.mqsnap");
         let engine = seeded_engine();
-        let v = engine.catalog().data_version("t").unwrap();
-        engine
-            .feedback()
-            .record(1, 123.0, vec![("t".to_string(), v)]);
-        engine
-            .feedback()
-            .record(2, 456.0, vec![("t".to_string(), v + 99)]);
+        let current = engine.catalog().stamp(["t".to_string()]).unwrap();
+        let (_, v) = current.iter().next().unwrap();
+        engine.feedback().record(1, 123.0, current.clone());
+        let stale = [("t".to_string(), v + 99)].into_iter().collect();
+        engine.feedback().record(2, 456.0, stale);
         save(&engine, &path).unwrap();
         let (engine2, report) = restore(EngineConfig::default(), &path).unwrap();
         assert_eq!(report.feedback_dropped, 1);

@@ -232,9 +232,6 @@ impl HashAggregateExec {
                 + 16 * self.aggs.len();
             if bytes + entry_bytes > grant && !self.group.is_empty() {
                 if parts.is_none() {
-                    if std::env::var("MQ_SPILL").is_ok() {
-                        eprintln!("SPILL agg {:?} grant={}", self.node, grant);
-                    }
                     mq_obs::emit(|| mq_obs::ObsEvent::Spill {
                         node: self.node.0 as u64,
                         operator: "HashAggregate",

@@ -378,24 +378,13 @@ impl ExecContext {
 /// Deterministic hash for partitioning and hash tables, salted by
 /// recursion level so sub-partitioning re-distributes.
 pub fn hash_key(key: &[Value], salt: u64) -> u64 {
+    use mq_common::hash::{Fnv1a, FNV_OFFSET};
     use std::hash::{Hash, Hasher};
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325 ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut h = Fnv1a::with_basis(FNV_OFFSET ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     for v in key {
         v.hash(&mut h);
     }
-    let mut z = std::hash::Hasher::finish(&h);
+    let mut z = h.finish();
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^ (z >> 31)
 }

@@ -142,12 +142,6 @@ impl HashJoinExec {
                     bytes += row.encoded_len() + 16;
                     table.entry(key).or_default().push(row);
                     if bytes > usable {
-                        if std::env::var("MQ_SPILL").is_ok() {
-                            eprintln!(
-                                "SPILL hashjoin {:?} grant={} bytes={}",
-                                self.node, grant, bytes
-                            );
-                        }
                         mq_obs::emit(|| mq_obs::ObsEvent::Spill {
                             node: self.node.0 as u64,
                             operator: "HashJoin",
@@ -158,7 +152,14 @@ impl HashJoinExec {
                             partition_count(grant, ctx.cfg.page_size, ctx.cfg.buffer_pool_pages);
                         let files: Vec<FileId> =
                             (0..nparts).map(|_| ctx.create_temp_file()).collect();
-                        for (k, rows) in table.drain() {
+                        // Spill in key order: the table iterates in a
+                        // randomly keyed order, and variable-length rows
+                        // pack into a different number of pages in each
+                        // order, so spilled page counts would vary
+                        // between identical runs.
+                        let mut groups: Vec<_> = table.drain().collect();
+                        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                        for (k, rows) in groups {
                             let p = (hash_key(&k, 1) % nparts as u64) as usize;
                             for r in rows {
                                 ctx.storage.append_row(files[p], &r)?;

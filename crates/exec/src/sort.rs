@@ -196,9 +196,6 @@ impl Operator for SortExec {
             bytes += row.encoded_len() + 8;
             buffer.push(row);
             if bytes > grant {
-                if std::env::var("MQ_SPILL").is_ok() {
-                    eprintln!("SPILL sort {:?} grant={}", self.node, grant);
-                }
                 mq_obs::emit(|| mq_obs::ObsEvent::Spill {
                     node: self.node.0 as u64,
                     operator: "Sort",

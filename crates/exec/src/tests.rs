@@ -193,6 +193,63 @@ fn hash_join_spilled_same_result_more_io() {
     );
 }
 
+/// Spill one hash-join build on a fresh fixture and return the rows of
+/// each build partition file plus the pages the spill wrote.
+fn spilled_build_partitions() -> (Vec<Vec<Row>>, u64) {
+    let cfg = EngineConfig {
+        buffer_pool_pages: 16,
+        ..EngineConfig::default()
+    };
+    let fx = Fixture::with_cfg(cfg.clone());
+    // 3000 distinct keys; "row-{i}" makes the rows variable-length, so
+    // the order rows are spilled in decides how they pack into pages.
+    fx.load_r("a", 3000, 7);
+    fx.load_r("b", 10, 7);
+    let mut plan = hash_join_plan(
+        fx.scan_plan("a", None),
+        fx.scan_plan("b", None),
+        "a.k",
+        "b.k",
+        8 * cfg.page_size,
+    );
+    plan.assign_ids();
+    let rec = Rc::new(Recorder::default());
+    *rec.switch_at.borrow_mut() = Some(plan.id);
+    let ctx = fx.ctx().with_monitor(rec);
+    let before = fx.clock.snapshot();
+    let err = run_to_vec(&plan, &ctx).unwrap_err();
+    assert_eq!(err, MqError::PlanSwitch(plan.id.0));
+    let pages_written = fx.clock.snapshot().since(&before).pages_written;
+    let Some(crate::context::Artifact::HashBuild(hb)) = ctx.take_artifact(plan.id) else {
+        panic!("the build artifact must survive the switch");
+    };
+    let parts = hb.parts.expect("the build must have spilled");
+    let contents = parts
+        .iter()
+        .map(|&f| {
+            fx.storage
+                .scan_file(f)
+                .unwrap()
+                .map(|item| item.unwrap().1)
+                .collect()
+        })
+        .collect();
+    (contents, pages_written)
+}
+
+#[test]
+fn hash_join_spill_is_deterministic_across_fresh_contexts() {
+    let (first, first_pages) = spilled_build_partitions();
+    let (second, second_pages) = spilled_build_partitions();
+    assert!(first.len() > 1 && first_pages > 0);
+    assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 3000);
+    assert_eq!(
+        first, second,
+        "spilled partitions must hold the same rows in the same order"
+    );
+    assert_eq!(first_pages, second_pages);
+}
+
 #[test]
 fn hash_join_null_keys_never_match() {
     let fx = Fixture::new();

@@ -24,18 +24,9 @@
 //! form. The engine probes top-down (largest match wins), which makes
 //! this case unreachable in practice.
 
-use crate::physical::{PhysOp, PhysPlan};
+use mq_common::fnv1a;
 
-/// FNV-1a over a byte string (same constants as the manifest's
-/// `plan_hash`, different input domain).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+use crate::physical::{PhysOp, PhysPlan};
 
 /// Canonical fingerprint of the sub-plan rooted at `plan`.
 pub fn subplan_fingerprint(plan: &PhysPlan) -> u64 {

@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 pub use normalize::{normalize, LiteralSlot, NormalizedQuery};
 pub use prepared::{BoundSql, PreparedSql};
 
-use mq_common::Value;
+use mq_common::{DepStamp, Value};
 
 /// Cumulative counters, for `\plancache stats` and the workload report.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -95,7 +95,7 @@ pub struct CachedPlan {
     /// The literal values the template was captured with.
     slots: Vec<LiteralSlot>,
     /// Base tables (with data versions) the plan reads.
-    pub deps: Vec<(String, u64)>,
+    pub deps: DepStamp,
     /// Structural sub-plan fingerprints — the feedback store's
     /// correction counters against these drive staleness.
     pub fingerprints: Vec<u64>,
@@ -127,7 +127,7 @@ impl CachedPlan {
         plan: &PhysPlan,
         norm: &NormalizedQuery,
         opt_work_units: u64,
-        deps: Vec<(String, u64)>,
+        deps: DepStamp,
         applied_at: u64,
     ) -> CachedPlan {
         let mut occurrences: Vec<(Option<String>, Option<String>, Value)> = Vec::new();
@@ -601,7 +601,13 @@ mod tests {
             cmp(CmpOp::Ge, col("t.a"), lit(10i64)),
             cmp(CmpOp::Eq, col("t.s"), lit("x")),
         ]));
-        let entry = CachedPlan::capture(&plan, &n, 7, vec![("t".into(), 1)], 0);
+        let entry = CachedPlan::capture(
+            &plan,
+            &n,
+            7,
+            [("t".to_string(), 1)].into_iter().collect(),
+            0,
+        );
         assert_eq!(entry.opt_work_units, 7);
         assert!(entry.slot_bound.iter().all(|b| *b), "{:?}", entry.binding);
 
@@ -623,7 +629,7 @@ mod tests {
         // Plan only carries the `a` literal (say the optimizer proved
         // `s = 'x'` away) — the 'x' slot binds nothing.
         let plan = scan_with_filter(cmp(CmpOp::Ge, col("t.a"), lit(10i64)));
-        let entry = CachedPlan::capture(&plan, &n, 1, vec![], 0);
+        let entry = CachedPlan::capture(&plan, &n, 1, DepStamp::default(), 0);
 
         // Same 'x': safe, only `a` changes.
         let same = norm("select a from t where t.a >= 20 and t.s = 'x'");
@@ -649,7 +655,7 @@ mod tests {
             cmp(CmpOp::Eq, plus1("t.b"), lit(5i64)),
             cmp(CmpOp::Eq, plus1("t.a"), lit(5i64)),
         ]));
-        let entry = CachedPlan::capture(&plan, &n, 1, vec![], 0);
+        let entry = CachedPlan::capture(&plan, &n, 1, DepStamp::default(), 0);
         // Changing one conjunct's literal must refuse rather than risk
         // splicing the value into the other conjunct's position.
         let changed = norm("select a from t where b + 1 = 7 and a + 1 = 5");
@@ -670,7 +676,13 @@ mod tests {
             PlanProbe::Miss
         ));
         let plan = scan_with_filter(cmp(CmpOp::Eq, col("t.a"), lit(5i64)));
-        let entry = CachedPlan::capture(&plan, &n, 3, vec![("t".into(), 1)], 0);
+        let entry = CachedPlan::capture(
+            &plan,
+            &n,
+            3,
+            [("t".to_string(), 1)].into_iter().collect(),
+            0,
+        );
         assert!(cache.insert(&n.key, entry).is_empty());
 
         let n2 = norm("select a from t where t.a = 8");
@@ -707,7 +719,7 @@ mod tests {
         for i in 0..3 {
             let n = norm(&format!("select a from t where t.a = 5 limit {i}"));
             let plan = scan_with_filter(cmp(CmpOp::Eq, col("t.a"), lit(5i64)));
-            let entry = CachedPlan::capture(&plan, &n, 1, vec![], 0);
+            let entry = CachedPlan::capture(&plan, &n, 1, DepStamp::default(), 0);
             keys.push(n.key.clone());
             let evicted = cache.insert(&n.key, entry);
             if i < 2 {
@@ -725,7 +737,7 @@ mod tests {
         use mq_expr::{cmp, col, lit};
         let n = norm("select a from t where t.a = 5");
         let plan = scan_with_filter(cmp(CmpOp::Eq, col("t.a"), lit(5i64)));
-        let entry = CachedPlan::capture(&plan, &n, 1, vec![], 0);
+        let entry = CachedPlan::capture(&plan, &n, 1, DepStamp::default(), 0);
         let stringy = norm("select a from t where t.a = 'five'");
         assert_eq!(n.key, stringy.key, "both parameterize to the same key");
         assert!(

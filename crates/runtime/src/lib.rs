@@ -39,7 +39,7 @@ use mq_common::{CancelToken, CostSnapshot, FaultInjector, MqError, Result, SimCl
 use mq_memory::{MemoryBroker, MemoryManager};
 use mq_par::ParSpec;
 use mq_plan::LogicalPlan;
-use mq_reopt::{Engine, JobEnv, QueryOutcome, ReoptMode};
+use mq_reopt::{Engine, JobEnv, PlanSource, QueryOutcome, ReoptMode};
 
 mod report;
 mod workload;
@@ -285,10 +285,8 @@ fn run_admitted(
         // its normalized family key (plan-only queries have no text to
         // normalize and always take the ordinary path).
         let env = make_env(format!("tmp_reopt_q{query_id}_"));
-        let mut outcome = match sql {
-            Some(sql) => engine.run_with_sql(plan, sql, mode, env),
-            None => engine.run_with(plan, mode, env),
-        };
+        let source = sql.map_or(PlanSource::Optimize, PlanSource::Sql);
+        let mut outcome = engine.run_with(plan, source, mode, env);
         // crashed → recovering → done. The job keeps its memory lease
         // across attempts (a recovering query does not re-queue for
         // admission), and each attempt charges a doubling simulated

@@ -49,7 +49,9 @@ impl FmSketch {
     /// Observe an arbitrary hashable key.
     pub fn observe<T: std::hash::Hash>(&mut self, key: &T) {
         use std::hash::Hasher;
-        let mut hasher = Fnv1a::default();
+        // Fixed-key FNV-1a: `std`'s default hash is unspecified across
+        // versions, and sketches must estimate the same everywhere.
+        let mut hasher = mq_common::Fnv1a::default();
         key.hash(&mut hasher);
         self.observe_hash(splitmix(hasher.finish()))
     }
@@ -105,29 +107,6 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Minimal FNV-1a hasher so we do not depend on `std`'s unspecified
-/// default hash across versions.
-#[derive(Debug)]
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
 }
 
 #[cfg(test)]

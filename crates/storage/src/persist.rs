@@ -30,22 +30,11 @@ use std::io::Write as _;
 use std::path::Path;
 
 use mq_common::fault::on_segment_boundary;
-use mq_common::{MqError, Result, Row, Value};
+use mq_common::{fnv1a, DepStamp, MqError, Result, Row, Value};
 
 /// Magic + format version. Bump the trailing digits on any layout
 /// change; a reader seeing an unknown magic refuses the file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MQSNAP01";
-
-/// FNV-1a over a byte slice — the same cheap, dependency-free digest
-/// the chaos harness uses for result fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn corrupt(msg: impl Into<String>) -> MqError {
     MqError::Storage(format!("snapshot corrupt: {}", msg.into()))
@@ -113,6 +102,11 @@ impl SectionWriter {
     /// Append a [`Row`] in its page binary encoding.
     pub fn row(&mut self, r: &Row) {
         r.encode(&mut self.buf);
+    }
+
+    /// Append a [`DepStamp`] in its own encoding.
+    pub fn stamp(&mut self, s: &DepStamp) {
+        s.encode(&mut self.buf);
     }
 }
 
@@ -195,6 +189,14 @@ impl<'a> SectionReader<'a> {
             .map_err(|e| corrupt(format!("bad row encoding: {e}")))?;
         self.pos += used;
         Ok(r)
+    }
+
+    /// Read one [`DepStamp`].
+    pub fn stamp(&mut self) -> Result<DepStamp> {
+        let (s, used) = DepStamp::decode(&self.buf[self.pos..])
+            .map_err(|e| corrupt(format!("bad dependency stamp: {e}")))?;
+        self.pos += used;
+        Ok(s)
     }
 }
 

@@ -178,9 +178,11 @@ fn feedback_corrections_survive_restart() {
     let db = Database::open_with(cfg(), &path).unwrap();
     load_tpcd(&db);
     let v = db.engine().catalog().data_version("lineitem").unwrap();
-    db.engine()
-        .feedback()
-        .record(0xFEED, 321.5, vec![("lineitem".to_string(), v)]);
+    db.engine().feedback().record(
+        0xFEED,
+        321.5,
+        [("lineitem".to_string(), v)].into_iter().collect(),
+    );
     db.engine().feedback().note_applied_for(0xFEED);
     let report = db.save().unwrap();
     assert_eq!(report.feedback_entries, 1);
@@ -192,7 +194,7 @@ fn feedback_corrections_survive_restart() {
         .get(0xFEED)
         .expect("correction lost across restart");
     assert_eq!(entry.rows, 321.5);
-    assert_eq!(entry.deps, vec![("lineitem".to_string(), v)]);
+    assert_eq!(entry.deps.iter().collect::<Vec<_>>(), [("lineitem", v)]);
     // The staleness signal (applied counters) round-trips too.
     assert_eq!(reopened.engine().feedback().applied(), 1);
     assert_eq!(reopened.engine().feedback().applied_sum(&[0xFEED]), 1);

@@ -252,26 +252,3 @@ fn in_list_end_to_end() {
         .unwrap();
     assert_eq!(out.rows[0].get(0), &Value::Int(4));
 }
-
-/// The pre-builder entry points stay as thin wrappers: same results,
-/// same semantics, just deprecated.
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_wrappers_still_work() {
-    let db = sample_db();
-    let sql = "SELECT dept, count(*) AS n FROM emp GROUP BY dept ORDER BY dept";
-    let old = db.run_sql(sql, ReoptMode::Full).unwrap();
-    let new = db.query(sql).run().unwrap();
-    assert_eq!(old.rows, new.rows);
-
-    let plan = db.plan_sql(sql).unwrap();
-    let from_plan = db.run(&plan, ReoptMode::Off).unwrap();
-    assert_eq!(from_plan.rows, new.rows);
-
-    let obs = midq::obs::Obs::default();
-    let observed = db.run_sql_observed(sql, ReoptMode::Full, &obs).unwrap();
-    assert_eq!(observed.rows, new.rows);
-
-    let part = db.run_partitioned(&plan, ReoptMode::Off, 2).unwrap();
-    assert_eq!(part.rows, new.rows);
-}
